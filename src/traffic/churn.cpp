@@ -45,12 +45,15 @@ void ChurnWorkload::start() {
   active_flag_ = true;
   flows_.reserve(config_.target_live_flows);
   for (std::size_t i = 0; i < config_.initial_flows; ++i) spawn_flow();
-  if (config_.flows_per_sec > 0.0) arm_arrival();
+  if (config_.flows_per_sec > 0.0) arm_arrival(sim_.now());
   arm_service();
 }
 
 void ChurnWorkload::stop() {
   active_flag_ = false;
+  // A dormant chain's skipped gaps are not drawn here, so a later start()
+  // continues the rng from an earlier point than an always-armed chain.
+  arrival_dormant_ = false;
   arrival_event_.cancel();
   service_event_.cancel();
   for (const Flow& f : flows_) router_.unregister_flow(f.spec.flow_id);
@@ -73,16 +76,24 @@ void ChurnWorkload::spawn_flow() {
   flows_.push_back(std::move(f));
 }
 
-void ChurnWorkload::arm_arrival() {
+void ChurnWorkload::arm_arrival(sim::SimTime from) {
   const double mean_gap_ns = 1e9 / config_.flows_per_sec;
-  arrival_event_ = sim_.schedule_after(
-      std::max<sim::SimDuration>(
-          1, static_cast<sim::SimDuration>(rng_.exponential(mean_gap_ns))),
-      [this] {
-        if (!active_flag_) return;
-        spawn_flow();
-        arm_arrival();
-      });
+  next_arrival_at_ =
+      from + std::max<sim::SimDuration>(
+                 1, static_cast<sim::SimDuration>(rng_.exponential(mean_gap_ns)));
+  arrival_order_ = ++arm_order_;
+  // At the ceiling the arrival would find no free slot, and only a service
+  // can free one: sleep until the service event wakes the chain.
+  arrival_dormant_ = flows_.size() >= config_.target_live_flows;
+  if (!arrival_dormant_) schedule_arrival();
+}
+
+void ChurnWorkload::schedule_arrival() {
+  arrival_event_ = sim_.schedule_at(next_arrival_at_, [this] {
+    if (!active_flag_) return;
+    spawn_flow();
+    arm_arrival(sim_.now());
+  });
 }
 
 void ChurnWorkload::arm_service() {
@@ -92,11 +103,24 @@ void ChurnWorkload::arm_service() {
                             static_cast<double>(config_.wire_bytes) * 8.0;
   const double gap_ns =
       train_bits * 1e9 / std::max(config_.aggregate_rate.bps(), 1e3);
+  service_order_ = ++arm_order_;
   service_event_ = sim_.schedule_after(
       std::max<sim::SimDuration>(1, static_cast<sim::SimDuration>(gap_ns)),
       [this] {
         if (!active_flag_) return;
+        // The dormant arrivals due before this service all found the
+        // ceiling: each only drew its successor's gap.
+        while (arrival_dormant_ &&
+               (next_arrival_at_ < sim_.now() ||
+                (next_arrival_at_ == sim_.now() && arrival_order_ < service_order_)))
+          arm_arrival(next_arrival_at_);
         service_next();
+        // Wake before re-arming the service: the pending arrival was armed
+        // before this service ran, so it wins a tie with the next one.
+        if (arrival_dormant_ && flows_.size() < config_.target_live_flows) {
+          arrival_dormant_ = false;
+          schedule_arrival();
+        }
         arm_service();
       });
 }

@@ -1,8 +1,13 @@
 // Flow-churn workload: the million-flow stressor behind the scale-out
 // ROADMAP item. Holds a configurable number of concurrently live flows
 // (heavy-tailed lengths, Poisson arrivals replacing deaths) and services
-// them round-robin with short packet trains from ONE pending simulator
-// event — so 10^6 live flows cost 10^6 small structs, not 10^6 timers.
+// them round-robin with short packet trains. At most two simulator events
+// are ever pending — one service event and one arrival event — so 10^6 live
+// flows cost 10^6 small structs, not 10^6 timers. At the live-flow ceiling
+// there is no arrival event at all: an arrival could only find the ceiling,
+// so the chain sleeps and the service event that frees a slot wakes it,
+// drawing the skipped arrivals' gaps on the way (DESIGN.md §14). The rng
+// stream and every spawn instant are those of an always-armed chain.
 //
 // The aggregate send rate is fixed; what churn varies is how that rate is
 // spread across flows. More live flows ⇒ longer revisit period per flow ⇒
@@ -79,7 +84,10 @@ class ChurnWorkload final : public TrafficSource {
   };
 
   void spawn_flow();
-  void arm_arrival();
+  /// Draw the gap to the arrival after the one at `from`; schedule it, or
+  /// leave the chain dormant if the live-flow ceiling is reached.
+  void arm_arrival(sim::SimTime from);
+  void schedule_arrival();
   void arm_service();
   void service_next();
 
@@ -96,6 +104,16 @@ class ChurnWorkload final : public TrafficSource {
   std::uint64_t serial_ = 0;  // unique five-tuple source
   sim::EventHandle arrival_event_;
   sim::EventHandle service_event_;
+
+  // The arrival chain, armed or dormant. `next_arrival_at_` is its next
+  // instant either way. The *_order_ fields number every arming of either
+  // chain, so an arrival and a service due on the same ns run in the order
+  // the simulator would give two real events: the one armed first.
+  bool arrival_dormant_ = false;
+  sim::SimTime next_arrival_at_ = 0;
+  std::uint64_t arm_order_ = 0;
+  std::uint64_t arrival_order_ = 0;
+  std::uint64_t service_order_ = 0;
 
   std::uint64_t flows_started_ = 0;
   std::uint64_t flows_completed_ = 0;

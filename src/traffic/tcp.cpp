@@ -97,7 +97,9 @@ void TcpRenoFlow::try_send() {
   while (active_ && static_cast<double>(inflight_) < cwnd_) {
     net::Packet pkt = make_packet(spec_, ids_, sim_.now(), seq_++);
     ++inflight_;
-    router_.device().submit(std::move(pkt));
+    // A synchronous reject has already run on_dropped, which freed the slot
+    // and armed the RTO retry; sending on would refill that slot forever.
+    if (!router_.device().submit(std::move(pkt))) break;
   }
 }
 

@@ -124,5 +124,46 @@ TEST(IntegrationReno, PriorityHoldsWithWindowBasedTcp) {
   EXPECT_GT(g_hi, g_lo * 5.0);
 }
 
+TEST(IntegrationReno, SynchronousDropStopsTheSendLoop) {
+  // A synchronous reject runs on_dropped inside try_send, which frees the
+  // window slot it just took. The send loop must stop there and leave the
+  // retry to the RTO that on_dropped armed, not refill the slot forever.
+  sim::Simulator sim;
+  np::NpConfig nic = np::agilio_cx_40g();
+  nic.num_workers = 1;
+  nic.num_islands = 1;
+  nic.num_vfs = 1;
+  nic.batch_size = 1;
+  nic.vf_ring_capacity = 1;
+  core::FlowValveEngine engine(np::engine_options_for(nic));
+  ASSERT_EQ(engine.configure(
+                exp::fair_queueing_script(Rate::gigabits_per_sec(10), 2)),
+            "");
+  np::FlowValveProcessor proc(engine);
+  np::NicPipeline pipeline(sim, nic, proc);
+  traffic::IdAllocator ids;
+  traffic::FlowRouter router(pipeline);
+
+  // The lone worker takes one filler packet; the second fills the ring.
+  for (std::uint64_t seq = 0; seq < 2; ++seq) {
+    traffic::FlowSpec filler;
+    filler.flow_id = ids.next_flow_id();
+    ASSERT_TRUE(pipeline.submit(traffic::make_packet(filler, ids, sim.now(), seq)));
+  }
+
+  traffic::FlowSpec spec;
+  spec.flow_id = ids.next_flow_id();
+  spec.tuple.src_port = 46000;
+  traffic::TcpRenoFlow flow(sim, router, ids, spec, traffic::TcpRenoConfig{});
+  flow.start();
+  EXPECT_EQ(flow.packets_lost(), 1u);
+  EXPECT_EQ(pipeline.stats().vf_ring_drops, 1u);
+  EXPECT_LE(sim.pending_events(), 8u);
+
+  // The RTO retry finds the ring drained and the flow makes progress.
+  sim.run_until(sim::milliseconds(50));
+  EXPECT_GT(flow.packets_delivered(), 0u);
+}
+
 }  // namespace
 }  // namespace flowvalve
