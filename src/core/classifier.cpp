@@ -54,7 +54,11 @@ ExactMatchFlowCache::ExactMatchFlowCache(Options options) : options_(options) {
   const std::size_t want_buckets =
       std::max<std::size_t>(1, (options_.capacity + kSlots - 1) / kSlots);
   buckets_ = std::max<std::size_t>(2, std::bit_ceil(want_buckets));
-  slots_.resize(buckets_ * kSlots);
+  // The entries are left uninitialised (no 64 B-per-slot zeroing pass);
+  // the zeroed signature bytes alone mark every slot empty.
+  slots_.reset(static_cast<Entry*>(::operator new(
+      buckets_ * kSlots * sizeof(Entry), std::align_val_t{alignof(Entry)})));
+  sigs_.assign(buckets_ * kSlots, 0);
 
   // Threshold sanity clamps — a zero interval or budget would deadlock the
   // state machine or the kick search.
@@ -70,7 +74,7 @@ ExactMatchFlowCache::ExactMatchFlowCache(Options options) : options_(options) {
       std::max(options_.failure_score_cap, options_.degrade_threshold);
 }
 
-std::uint64_t ExactMatchFlowCache::key_hash(std::uint16_t vf, const FiveTuple& t) const {
+std::uint64_t ExactMatchFlowCache::key_hash(std::uint16_t vf, const FiveTuple& t) {
   return mix64(t.hash() ^ (kVfSalt * (static_cast<std::uint64_t>(vf) + 1)));
 }
 
@@ -95,10 +99,13 @@ ExactMatchFlowCache::Entry* ExactMatchFlowCache::find_slot(std::uint32_t bucket,
                                                            std::uint64_t hash,
                                                            std::uint16_t vf,
                                                            const FiveTuple& t) {
-  Entry* base = &slots_[static_cast<std::size_t>(bucket) * kSlots];
+  // Only a signature match reads the entry line.
+  const std::size_t base = static_cast<std::size_t>(bucket) * kSlots;
+  const std::uint8_t sig = signature(hash);
   for (std::size_t s = 0; s < kSlots; ++s) {
-    Entry& e = base[s];
-    if (e.valid && e.hash == hash && e.vf == vf && e.tuple == t) return &e;
+    if (sigs_[base + s] != sig) continue;
+    Entry& e = slots_[base + s];
+    if (e.hash == hash && e.vf == vf && e.tuple == t) return &e;
   }
   return nullptr;
 }
@@ -159,10 +166,11 @@ void ExactMatchFlowCache::sweep_idle(std::uint64_t now_tick) {
   if (options_.idle_timeout_ticks == 0) return;
   const std::uint32_t bucket =
       static_cast<std::uint32_t>(sweep_cursor_++ & (buckets_ - 1));
-  Entry* base = &slots_[static_cast<std::size_t>(bucket) * kSlots];
+  const std::size_t base = static_cast<std::size_t>(bucket) * kSlots;
   for (std::size_t s = 0; s < kSlots; ++s) {
-    Entry& e = base[s];
-    if (e.valid && now_tick > e.last_used &&
+    if (sigs_[base + s] == 0) continue;
+    Entry& e = slots_[base + s];
+    if (now_tick > e.last_used &&
         now_tick - e.last_used > options_.idle_timeout_ticks) {
       invalidate(e);
       ++stats_.idle_evictions;
@@ -235,31 +243,32 @@ ExactMatchFlowCache::Entry* ExactMatchFlowCache::bfs_free_slot(std::uint32_t b1,
 
   for (std::size_t head = 0; head < nodes.size(); ++head) {
     const Node n = nodes[head];
-    Entry* base = &slots_[static_cast<std::size_t>(n.bucket) * kSlots];
+    const std::size_t base = static_cast<std::size_t>(n.bucket) * kSlots;
     // A free slot in this bucket terminates the search: walk the chain
     // backwards, moving each predecessor's entry into the freed slot.
     for (std::size_t s = 0; s < kSlots; ++s) {
-      if (base[s].valid) continue;
-      Entry* freed = &base[s];
+      if (sigs_[base + s] != 0) continue;
+      std::size_t freed = base + s;
       std::int32_t cur = static_cast<std::int32_t>(head);
       while (nodes[cur].parent >= 0) {
         const Node& link = nodes[cur];
-        Entry& from =
-            slots_[static_cast<std::size_t>(nodes[link.parent].bucket) * kSlots +
-                   link.slot];
-        *freed = from;
-        freed->alt_bucket = nodes[link.parent].bucket;
-        from.valid = false;
-        freed = &from;
+        const std::size_t from =
+            static_cast<std::size_t>(nodes[link.parent].bucket) * kSlots + link.slot;
+        slots_[freed] = slots_[from];
+        slots_[freed].alt_bucket = nodes[link.parent].bucket;
+        sigs_[freed] = sigs_[from];
+        sigs_[from] = 0;
+        freed = from;
         ++stats_.kicks;
         ++*kicks;
         cur = link.parent;
       }
-      return freed;  // a now-free slot in b1 or b2
+      return &slots_[freed];  // a now-free slot in b1 or b2
     }
     if (n.depth >= options_.max_kick_depth) continue;
+    // Every slot here is live (no free one was found above).
     for (std::size_t s = 0; s < kSlots && nodes.size() < options_.kick_budget; ++s) {
-      const std::uint32_t target = base[s].alt_bucket;
+      const std::uint32_t target = slots_[base + s].alt_bucket;
       bool seen = false;
       for (const Node& m : nodes) {
         if (m.bucket == target) {
@@ -307,7 +316,7 @@ ExactMatchFlowCache::InsertOutcome ExactMatchFlowCache::insert_at(
 
   const auto place = [&](Entry* slot, std::uint32_t in_bucket,
                          std::uint32_t kicks) -> InsertOutcome {
-    slot->valid = true;
+    sigs_[index_of(*slot)] = signature(hash);
     slot->vf = vf;
     slot->tuple = t;
     slot->label = label;
@@ -323,22 +332,23 @@ ExactMatchFlowCache::InsertOutcome ExactMatchFlowCache::insert_at(
 
   // Direct free slot in either candidate bucket.
   for (std::uint32_t b : {b1, b2}) {
-    Entry* base = &slots_[static_cast<std::size_t>(b) * kSlots];
+    const std::size_t base = static_cast<std::size_t>(b) * kSlots;
     for (std::size_t s = 0; s < kSlots; ++s)
-      if (!base[s].valid) return place(&base[s], b, 0);
+      if (sigs_[base + s] == 0) return place(&slots_[base + s], b, 0);
   }
 
   // Bounded BFS kick path.
   std::uint32_t kicks = 0;
   if (Entry* freed = bfs_free_slot(b1, b2, &kicks)) {
     const std::uint32_t in_bucket =
-        static_cast<std::uint32_t>((freed - slots_.data()) / kSlots);
+        static_cast<std::uint32_t>(index_of(*freed) / kSlots);
     return place(freed, in_bucket, kicks);
   }
 
   // Kick budget exhausted: evict the stalest resident of the two candidate
   // buckets (the hardware-honest bounded fallback) and record the failure —
-  // repeated failures at low table load raise the degradation score.
+  // repeated failures at low table load raise the degradation score. Both
+  // buckets are full here, so every slot scanned is live.
   note_kick_failure();
   Entry* victim = nullptr;
   std::uint32_t victim_bucket = b1;
@@ -371,7 +381,7 @@ ExactMatchFlowCache::InsertOutcome ExactMatchFlowCache::insert(
 }
 
 void ExactMatchFlowCache::clear() {
-  std::fill(slots_.begin(), slots_.end(), Entry{});
+  std::fill(sigs_.begin(), sigs_.end(), 0);
   live_ = 0;
   stats_ = Stats{};
   ++clears_;
@@ -385,11 +395,12 @@ void ExactMatchFlowCache::clear() {
 
 std::size_t ExactMatchFlowCache::invalidate_all() {
   std::size_t flushed = 0;
-  for (Entry& e : slots_) {
-    if (!e.valid) continue;
-    invalidate(e);
+  for (std::uint8_t& sig : sigs_) {
+    if (sig == 0) continue;
+    sig = 0;
     ++flushed;
   }
+  live_ -= flushed;
   stats_.evictions += flushed;
   return flushed;
 }
@@ -398,9 +409,10 @@ std::size_t ExactMatchFlowCache::poison(std::size_t stride, ClassLabelId label_c
                                         bool fix_tag) {
   if (stride == 0 || label_count < 2) return 0;
   std::size_t seen = 0, poisoned = 0;
-  for (Entry& e : slots_) {
-    if (!e.valid) continue;
+  for (std::size_t i = 0; i < sigs_.size(); ++i) {
+    if (sigs_[i] == 0) continue;
     if (seen++ % stride != 0) continue;
+    Entry& e = slots_[i];
     e.label = static_cast<ClassLabelId>((e.label + 1) % label_count);
     if (fix_tag) e.tag = entry_tag(e.hash, e.label, e.epoch);
     ++poisoned;
@@ -458,7 +470,7 @@ ExactMatchFlowCache::occupancy_histogram() const {
   for (std::size_t b = 0; b < buckets_; ++b) {
     std::size_t occ = 0;
     for (std::size_t s = 0; s < kSlots; ++s)
-      occ += slots_[b * kSlots + s].valid ? 1 : 0;
+      occ += sigs_[b * kSlots + s] != 0 ? 1 : 0;
     ++hist[occ];
   }
   return hist;

@@ -14,6 +14,8 @@
 
 #include <array>
 #include <cstdint>
+#include <memory>
+#include <new>
 #include <optional>
 #include <string>
 #include <unordered_map>
@@ -95,6 +97,18 @@ class ExactMatchFlowCache {
     z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
     z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
     return z ^ (z >> 31);
+  }
+
+  /// The mixed 64-bit hash of a (vf, five-tuple) key: its low bits pick the
+  /// first bucket, bits 32.. the second, and its top byte the signature.
+  static std::uint64_t key_hash(std::uint16_t vf, const FiveTuple& t);
+
+  /// A slot's signature byte (DESIGN.md §14): the hash's top byte with 0
+  /// remapped to 1, because 0 marks an empty slot. Public, like mix64, so
+  /// tests can build same-signature keys on purpose.
+  static constexpr std::uint8_t signature(std::uint64_t hash) {
+    const auto sig = static_cast<std::uint8_t>(hash >> 56);
+    return sig == 0 ? 1 : sig;
   }
 
   struct Options {
@@ -230,7 +244,7 @@ class ExactMatchFlowCache {
   /// Live entries currently resident.
   std::size_t size() const { return live_; }
   /// Total entry slots (buckets × kSlots) after constructor clamping.
-  std::size_t capacity() const { return slots_.size(); }
+  std::size_t capacity() const { return sigs_.size(); }
   std::size_t bucket_count() const { return buckets_; }
 
   /// Monotonic counter that changes whenever any resident entry could have
@@ -250,23 +264,34 @@ class ExactMatchFlowCache {
   const Options& options() const { return options_; }
 
  private:
-  struct Entry {
-    bool valid = false;
-    std::uint16_t vf = 0;
+  /// One 64 B cache line per entry. Entries live in raw, uninitialised
+  /// storage: an entry is read only while its signature byte is nonzero,
+  /// and every write that sets that byte fills all of its fields.
+  struct alignas(64) Entry {
+    std::uint16_t vf;
     FiveTuple tuple;
-    ClassLabelId label = net::kUnclassified;
-    std::uint32_t epoch = 0;       // label epoch the entry was inserted under
-    std::uint64_t last_used = 0;
-    std::uint64_t hash = 0;        // mixed 64-bit key hash (bucket source)
-    std::uint32_t alt_bucket = 0;  // the key's other candidate bucket
-    std::uint64_t tag = 0;         // integrity tag over (hash, label, epoch)
+    ClassLabelId label;
+    std::uint32_t epoch;       // label epoch the entry was inserted under
+    std::uint64_t last_used;
+    std::uint64_t hash;        // mixed 64-bit key hash (bucket source)
+    std::uint32_t alt_bucket;  // the key's other candidate bucket
+    std::uint64_t tag;         // integrity tag over (hash, label, epoch)
+  };
+  static_assert(sizeof(Entry) == 64, "an entry must fill exactly one cache line");
+
+  struct FreeEntries {
+    void operator()(Entry* p) const {
+      ::operator delete(p, std::align_val_t{alignof(Entry)});
+    }
   };
 
-  std::uint64_t key_hash(std::uint16_t vf, const FiveTuple& t) const;
   std::uint32_t bucket_of(std::uint64_t hash) const;
   std::uint32_t alt_bucket_of(std::uint64_t hash, std::uint32_t b1) const;
   std::uint64_t entry_tag(std::uint64_t hash, ClassLabelId label,
                           std::uint32_t epoch) const;
+  std::size_t index_of(const Entry& e) const {
+    return static_cast<std::size_t>(&e - slots_.get());
+  }
 
   Entry* find_slot(std::uint32_t bucket, std::uint64_t hash, std::uint16_t vf,
                    const FiveTuple& t);
@@ -285,12 +310,15 @@ class ExactMatchFlowCache {
   void note_lookup();
   void sweep_idle(std::uint64_t now_tick);
   void invalidate(Entry& e) {
-    e.valid = false;
+    sigs_[index_of(e)] = 0;
     --live_;
   }
 
   Options options_;
-  std::vector<Entry> slots_;  // buckets_ × kSlots entries
+  // buckets_ × kSlots entries, and one signature byte per slot: the only
+  // record of which slots are live (0 = empty).
+  std::unique_ptr<Entry[], FreeEntries> slots_;
+  std::vector<std::uint8_t> sigs_;
   std::size_t buckets_ = 0;
   std::size_t live_ = 0;
   Stats stats_;

@@ -4,7 +4,7 @@
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
+#include <vector>
 
 #include "net/device.h"
 #include "net/packet.h"
@@ -17,7 +17,8 @@ using sim::Rate;
 using sim::SimDuration;
 using sim::SimTime;
 
-/// Allocates globally unique packet ids and flow ids for a scenario.
+/// Allocates globally unique packet ids and flow ids for a scenario. Flow
+/// ids are dense (1, 2, 3, ...), so FlowRouter indexes its table by them.
 class IdAllocator {
  public:
   std::uint64_t next_packet_id() { return ++packet_id_; }
@@ -37,6 +38,10 @@ class TrafficSource {
 
 /// Routes a device's delivery/drop callbacks to the owning sources by
 /// flow id, and keeps scenario-wide accounting (per-app throughput series).
+/// Both tables are vectors indexed directly by id: flow ids come densely
+/// from IdAllocator and app ids are small scenario-chosen integers, so a
+/// table holds one pointer per id handed out so far. Ids outside a table
+/// are ignored.
 class FlowRouter {
  public:
   explicit FlowRouter(net::EgressDevice& device) : device_(device) {
@@ -45,39 +50,53 @@ class FlowRouter {
   }
 
   void register_flow(std::uint32_t flow_id, TrafficSource* source) {
+    if (flow_id >= flows_.size()) flows_.resize(std::size_t{flow_id} + 1, nullptr);
     flows_[flow_id] = source;
   }
-  void unregister_flow(std::uint32_t flow_id) { flows_.erase(flow_id); }
+  void unregister_flow(std::uint32_t flow_id) {
+    if (flow_id < flows_.size()) flows_[flow_id] = nullptr;
+  }
 
   /// Optional per-app delivered-bytes series (Fig. 3/11 curves).
   void track_app(std::uint32_t app_id, stats::ThroughputSeries* series) {
-    app_series_[app_id] = series;
+    app_slot(app_id).series = series;
   }
   /// Optional per-app latency collection (Fig. 14).
   void track_app_latency(std::uint32_t app_id, stats::LatencyStats* lat) {
-    app_latency_[app_id] = lat;
+    app_slot(app_id).latency = lat;
   }
 
   net::EgressDevice& device() { return device_; }
 
  private:
+  struct AppSinks {
+    stats::ThroughputSeries* series = nullptr;
+    stats::LatencyStats* latency = nullptr;
+  };
+
+  AppSinks& app_slot(std::uint32_t app_id) {
+    if (app_id >= apps_.size()) apps_.resize(std::size_t{app_id} + 1);
+    return apps_[app_id];
+  }
+  TrafficSource* source_of(std::uint32_t flow_id) const {
+    return flow_id < flows_.size() ? flows_[flow_id] : nullptr;
+  }
+
   void handle_delivered(const net::Packet& pkt) {
-    if (auto it = app_series_.find(pkt.app_id); it != app_series_.end())
-      it->second->add(pkt.wire_tx_done, pkt.wire_bytes);
-    if (auto it = app_latency_.find(pkt.app_id); it != app_latency_.end())
-      it->second->add(pkt.delivered_at - pkt.created_at);
-    if (auto it = flows_.find(pkt.flow_id); it != flows_.end())
-      it->second->on_delivered(pkt);
+    if (pkt.app_id < apps_.size()) {
+      const AppSinks& app = apps_[pkt.app_id];
+      if (app.series != nullptr) app.series->add(pkt.wire_tx_done, pkt.wire_bytes);
+      if (app.latency != nullptr) app.latency->add(pkt.delivered_at - pkt.created_at);
+    }
+    if (TrafficSource* source = source_of(pkt.flow_id)) source->on_delivered(pkt);
   }
   void handle_dropped(const net::Packet& pkt) {
-    if (auto it = flows_.find(pkt.flow_id); it != flows_.end())
-      it->second->on_dropped(pkt);
+    if (TrafficSource* source = source_of(pkt.flow_id)) source->on_dropped(pkt);
   }
 
   net::EgressDevice& device_;
-  std::unordered_map<std::uint32_t, TrafficSource*> flows_;
-  std::unordered_map<std::uint32_t, stats::ThroughputSeries*> app_series_;
-  std::unordered_map<std::uint32_t, stats::LatencyStats*> app_latency_;
+  std::vector<TrafficSource*> flows_;  // by flow id; nullptr = unregistered
+  std::vector<AppSinks> apps_;         // by app id
 };
 
 /// Identity shared by all packets of one flow.

@@ -27,6 +27,7 @@ class FlowSizeDistribution {
  private:
   double alpha_;
   double lo_, hi_;
+  double lo_pow_alpha_, hi_pow_alpha_;  // lo^α and hi^α, constant per sampler
 };
 
 struct DatacenterWorkloadConfig {

@@ -2,13 +2,15 @@
 // the splitmix64 mixer's avalanche/distribution lock, constructor capacity
 // clamping, the bounded BFS kick path, idle eviction amortized into
 // lookups, integrity-tag poison detection, the poison × label-epoch ×
-// eviction interleavings, the degraded-mode state machine's determinism,
-// and the million-flow churn soak across every scheduler backend and both
-// batch sizes with the cache-coherence checker armed.
+// eviction interleavings, the signature bytes that alone mark live slots,
+// the degraded-mode state machine's determinism, and the million-flow churn
+// soak across every scheduler backend and both batch sizes with the
+// cache-coherence checker armed.
 #include <gtest/gtest.h>
 
 #include <bit>
 #include <cstdint>
+#include <map>
 #include <vector>
 
 #include "check/fuzzer.h"
@@ -27,6 +29,28 @@ FiveTuple tuple_n(std::uint64_t serial) {
   t.dst_port = 443;
   t.proto = IpProto::kTcp;
   return t;
+}
+
+/// The per-bucket occupancy histogram is read off the signature bytes; it
+/// must weigh out to the live count after every kind of mutation.
+void expect_histogram_matches_size(const ExactMatchFlowCache& cache) {
+  const auto hist = cache.occupancy_histogram();
+  std::uint64_t buckets = 0, live = 0;
+  for (std::size_t k = 0; k < hist.size(); ++k) {
+    buckets += hist[k];
+    live += k * hist[k];
+  }
+  EXPECT_EQ(buckets, cache.bucket_count());
+  EXPECT_EQ(live, cache.size());
+}
+
+/// The first `n` serials whose (vf 0) key carries the signature byte `sig`.
+std::vector<std::uint64_t> serials_with_signature(std::uint8_t sig, std::size_t n) {
+  std::vector<std::uint64_t> out;
+  for (std::uint64_t i = 0; out.size() < n; ++i)
+    if (ExactMatchFlowCache::signature(ExactMatchFlowCache::key_hash(0, tuple_n(i))) == sig)
+      out.push_back(i);
+  return out;
 }
 
 // ---- splitmix64 mixer (the set-index distribution lock) -------------------
@@ -103,10 +127,104 @@ TEST(FlowTable, KickPathRelocatesResidentsWithoutLoss) {
   EXPECT_GT(cache.stats().kicks, 0u);
   EXPECT_EQ(cache.stats().evictions, 0u);
   EXPECT_EQ(cache.size(), kKeys);
+  expect_histogram_matches_size(cache);
   for (std::uint64_t i = 0; i < kKeys; ++i)
     EXPECT_EQ(cache.peek(0, tuple_n(i)),
               std::optional<ClassLabelId>(static_cast<ClassLabelId>(i)))
         << "key " << i;
+}
+
+// ---- signature bytes ------------------------------------------------------
+
+TEST(FlowTable, EqualSignatureKeysInOneBucketPairKeepTheirOwnLabels) {
+  // A 2-bucket table pins every key to the same bucket pair. Fill it with
+  // keys that all carry one signature byte, so every probe matches the
+  // byte in every live slot and only the full key compare can tell the
+  // entries apart.
+  ExactMatchFlowCache cache(ExactMatchFlowCache::Options{.capacity = 8});
+  ASSERT_EQ(cache.capacity(), 8u);
+  const std::vector<std::uint64_t> keys = serials_with_signature(0x5a, 9);
+  for (std::size_t i = 0; i < 8; ++i)
+    ASSERT_TRUE(cache.insert(0, tuple_n(keys[i]), static_cast<ClassLabelId>(i), 1).inserted);
+  EXPECT_EQ(cache.size(), 8u);
+  expect_histogram_matches_size(cache);
+  for (std::size_t i = 0; i < 8; ++i) {
+    EXPECT_EQ(cache.peek(0, tuple_n(keys[i])),
+              std::optional<ClassLabelId>(static_cast<ClassLabelId>(i)))
+        << "serial " << keys[i];
+    EXPECT_EQ(cache.lookup(0, tuple_n(keys[i]), 2),
+              std::optional<ClassLabelId>(static_cast<ClassLabelId>(i)))
+        << "serial " << keys[i];
+  }
+  // A ninth key with the same byte was never inserted: it must miss even
+  // though its signature matches all eight slots it probes.
+  EXPECT_FALSE(cache.peek(0, tuple_n(keys[8])).has_value());
+  EXPECT_FALSE(cache.lookup(0, tuple_n(keys[8]), 3).has_value());
+  EXPECT_EQ(cache.stats().hits, 8u);
+}
+
+TEST(FlowTable, KickPathCarriesSignatureBytesWithTheirEntries) {
+  // 56 keys sharing one signature byte at load 0.875 of 16 buckets: many
+  // share a bucket pair, the BFS kick path moves them around, and each
+  // move must carry the byte along so every key still resolves to itself.
+  ExactMatchFlowCache cache(ExactMatchFlowCache::Options{.capacity = 64});
+  const std::vector<std::uint64_t> keys = serials_with_signature(0xa5, 56);
+  std::map<std::uint32_t, int> pair_load;  // keys per first-choice bucket
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    ++pair_load[static_cast<std::uint32_t>(
+        ExactMatchFlowCache::key_hash(0, tuple_n(keys[i])) & (cache.bucket_count() - 1))];
+    ASSERT_TRUE(cache.insert(0, tuple_n(keys[i]), static_cast<ClassLabelId>(i), i).inserted);
+  }
+  int shared = 0;
+  for (const auto& [bucket, n] : pair_load) shared = std::max(shared, n);
+  EXPECT_GE(shared, 2) << "no two same-signature keys share a bucket";
+  EXPECT_GT(cache.stats().kicks, 0u);
+  EXPECT_EQ(cache.stats().evictions, 0u);
+  expect_histogram_matches_size(cache);
+  for (std::size_t i = 0; i < keys.size(); ++i)
+    EXPECT_EQ(cache.peek(0, tuple_n(keys[i])),
+              std::optional<ClassLabelId>(static_cast<ClassLabelId>(i)))
+        << "serial " << keys[i];
+}
+
+TEST(FlowTable, ReuseAfterClearOrInvalidateAllServesNoStaleHit) {
+  // clear() resets only the signature bytes and invalidate_all() only
+  // zeroes them; the old entry lines stay in memory. A refilled table must
+  // serve the new labels, and a key not reinserted must miss.
+  for (const bool use_clear : {true, false}) {
+    SCOPED_TRACE(use_clear ? "clear" : "invalidate_all");
+    ExactMatchFlowCache cache(ExactMatchFlowCache::Options{.capacity = 64});
+    for (std::uint64_t i = 0; i < 40; ++i)
+      cache.insert(0, tuple_n(i), static_cast<ClassLabelId>(i), 1);
+    ASSERT_EQ(cache.size(), 40u);
+    if (use_clear) {
+      cache.clear();
+    } else {
+      EXPECT_EQ(cache.invalidate_all(), 40u);
+    }
+    EXPECT_EQ(cache.size(), 0u);
+    const auto hist = cache.occupancy_histogram();
+    EXPECT_EQ(hist[0], cache.bucket_count());
+    expect_histogram_matches_size(cache);
+    for (std::uint64_t i = 0; i < 40; ++i)
+      EXPECT_FALSE(cache.peek(0, tuple_n(i)).has_value()) << "key " << i;
+    for (std::uint64_t i = 0; i < 40; ++i)
+      EXPECT_FALSE(cache.lookup(0, tuple_n(i), 2).has_value()) << "key " << i;
+    // Refill the even keys with new labels: they hit with the new label,
+    // the odd keys keep missing.
+    for (std::uint64_t i = 0; i < 40; i += 2)
+      cache.insert(0, tuple_n(i), static_cast<ClassLabelId>(100 + i), 3);
+    expect_histogram_matches_size(cache);
+    for (std::uint64_t i = 0; i < 40; ++i) {
+      if (i % 2 == 0) {
+        EXPECT_EQ(cache.lookup(0, tuple_n(i), 4),
+                  std::optional<ClassLabelId>(static_cast<ClassLabelId>(100 + i)))
+            << "key " << i;
+      } else {
+        EXPECT_FALSE(cache.lookup(0, tuple_n(i), 4).has_value()) << "key " << i;
+      }
+    }
+  }
 }
 
 TEST(FlowTable, FullTablePressureEvictsStalestButNeverDegrades) {
@@ -120,6 +238,7 @@ TEST(FlowTable, FullTablePressureEvictsStalestButNeverDegrades) {
   EXPECT_LE(cache.size(), cache.capacity());
   EXPECT_EQ(cache.health(), ExactMatchFlowCache::Health::kHealthy);
   EXPECT_EQ(cache.stats().degraded_transitions, 0u);
+  expect_histogram_matches_size(cache);
   // The most recent insert survived the eviction fallback.
   EXPECT_TRUE(cache.peek(0, tuple_n(63)).has_value());
 }
@@ -139,6 +258,7 @@ TEST(FlowTable, IdleEntriesReclaimedByAmortizedLookupSweep) {
     cache.lookup(9, tuple_n(1000 + i), /*now_tick=*/500);
   EXPECT_EQ(cache.stats().idle_evictions, kKeys);
   EXPECT_EQ(cache.size(), 0u);
+  expect_histogram_matches_size(cache);
   for (std::uint64_t i = 0; i < kKeys; ++i)
     EXPECT_FALSE(cache.peek(0, tuple_n(i)).has_value());
 }
@@ -163,10 +283,13 @@ TEST(FlowTable, PoisonDetectedByIntegrityTagOnNextLookup) {
   for (std::uint64_t i = 0; i < kKeys; ++i)
     cache.insert(0, tuple_n(i), static_cast<ClassLabelId>(i % 4), 1);
   ASSERT_EQ(cache.poison(/*stride=*/1, /*label_count=*/4), kKeys);
+  expect_histogram_matches_size(cache);
   for (std::uint64_t i = 0; i < kKeys; ++i)
     EXPECT_FALSE(cache.lookup(0, tuple_n(i), 2).has_value())
         << "poisoned entry " << i << " served a label";
   EXPECT_EQ(cache.stats().corruption_detected, kKeys);
+  EXPECT_EQ(cache.size(), 0u);
+  expect_histogram_matches_size(cache);
   // The slots were invalidated; reinsertion restores the fast path.
   cache.insert(0, tuple_n(0), 0, 3);
   EXPECT_EQ(cache.lookup(0, tuple_n(0), 4), std::optional<ClassLabelId>(0));
@@ -178,6 +301,7 @@ TEST(FlowTable, SilentPoisonServesWrongLabel) {
   ExactMatchFlowCache cache(1024);
   cache.insert(0, tuple_n(0), 1, 1);
   ASSERT_EQ(cache.poison(1, /*label_count=*/4, /*fix_tag=*/true), 1u);
+  expect_histogram_matches_size(cache);
   const auto hit = cache.lookup(0, tuple_n(0), 2);
   ASSERT_TRUE(hit.has_value());
   EXPECT_EQ(*hit, 2u);  // (1 + 1) % 4 — silently wrong
@@ -311,6 +435,7 @@ ExactMatchFlowCache::Stats run_degrade_lifecycle() {
   cache.fault_collision_storm(/*seed=*/42, /*n=*/32, /*now_tick=*/1);
   EXPECT_EQ(cache.health(), ExactMatchFlowCache::Health::kDegraded);
   EXPECT_EQ(cache.stats().degraded_transitions, 1u);
+  expect_histogram_matches_size(cache);
 
   // All inserts are suppressed while degraded — and lookups still work.
   EXPECT_FALSE(cache.insert(0, tuple_n(0), 1, 2).inserted);
@@ -363,6 +488,19 @@ TEST(FlowTable, DegradedLifecycleEngagesAndDisengagesDeterministically) {
   EXPECT_EQ(a.evictions, b.evictions);
   EXPECT_GT(a.degraded_dwell_lookups, 0u);
   EXPECT_GT(a.recovering_dwell_lookups, 0u);
+}
+
+TEST(FlowTable, ChurnStormKeepsHistogramAndSizeInStep) {
+  // A churn storm past capacity: direct slots, kicks and stalest-entry
+  // evictions all run, and the histogram must track every one of them.
+  ExactMatchFlowCache cache(ExactMatchFlowCache::Options{.capacity = 256});
+  for (std::uint64_t i = 0; i < 64; ++i) cache.insert(0, tuple_n(i), 1, 1);
+  const std::size_t admitted = cache.fault_churn_storm(/*seed=*/7, /*n=*/512, 2);
+  EXPECT_GT(admitted, 0u);
+  EXPECT_GT(cache.stats().kicks, 0u);
+  EXPECT_GT(cache.stats().evictions, 0u);
+  EXPECT_LE(cache.size(), cache.capacity());
+  expect_histogram_matches_size(cache);
 }
 
 TEST(FlowTable, RelapseDuringRecoveryReclosesTheGate) {

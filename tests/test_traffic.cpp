@@ -1,5 +1,5 @@
 // Unit tests for the traffic sources: AIMD and Reno TCP models, open-loop
-// generators, and the AppProcess grouping.
+// generators, the AppProcess grouping, and FlowRouter's feedback routing.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -275,6 +275,138 @@ TEST(AppProcessTest, SetConnectionsGrowsAndShrinks) {
   EXPECT_EQ(app.connections(), 2u);
   sim.run_until(sim::milliseconds(20));
   EXPECT_GT(app.packets_sent(), 0u);
+}
+
+/// Device that delivers (or, with `drop` set, drops) every packet at once,
+/// so router tests can hand it packets with chosen flow and app ids.
+class LoopbackDevice final : public net::EgressDevice {
+ public:
+  bool submit(net::Packet pkt) override {
+    if (drop) {
+      notify_drop(pkt);
+      return false;
+    }
+    deliver(pkt);
+    return true;
+  }
+  bool drop = false;
+};
+
+/// Source that only counts the feedback routed to it.
+class CountingSource final : public TrafficSource {
+ public:
+  void on_delivered(const net::Packet&) override { ++delivered; }
+  void on_dropped(const net::Packet&) override { ++dropped; }
+  int delivered = 0;
+  int dropped = 0;
+};
+
+net::Packet routed_packet(std::uint32_t flow_id, std::uint32_t app_id,
+                          std::uint32_t bytes = 1000, sim::SimTime sent = 0,
+                          sim::SimTime done = 0) {
+  net::Packet p;
+  p.flow_id = flow_id;
+  p.app_id = app_id;
+  p.wire_bytes = bytes;
+  p.created_at = sent;
+  p.wire_tx_done = done;
+  p.delivered_at = done;
+  return p;
+}
+
+TEST(FlowRouterTest, FeedbackFollowsUnregisterAndReRegister) {
+  LoopbackDevice dev;
+  FlowRouter router(dev);
+  IdAllocator ids;
+  const std::uint32_t f1 = ids.next_flow_id();
+  const std::uint32_t f2 = ids.next_flow_id();
+  CountingSource a, b;
+  router.register_flow(f1, &a);
+  router.register_flow(f2, &b);
+  dev.submit(routed_packet(f1, 0));
+  dev.drop = true;
+  dev.submit(routed_packet(f2, 0));
+  EXPECT_EQ(a.delivered, 1);
+  EXPECT_EQ(b.delivered, 0);
+  EXPECT_EQ(b.dropped, 1);
+
+  // After unregister, f1's feedback reaches nobody.
+  router.unregister_flow(f1);
+  dev.drop = false;
+  dev.submit(routed_packet(f1, 0));
+  EXPECT_EQ(a.delivered, 1);
+  EXPECT_EQ(b.delivered, 0);
+
+  // Re-registered to another source, it reaches that source only; f2 is
+  // untouched throughout.
+  router.register_flow(f1, &b);
+  dev.submit(routed_packet(f1, 0));
+  dev.drop = true;
+  dev.submit(routed_packet(f1, 0));
+  EXPECT_EQ(a.delivered, 1);
+  EXPECT_EQ(a.dropped, 0);
+  EXPECT_EQ(b.delivered, 1);
+  EXPECT_EQ(b.dropped, 2);
+  dev.drop = false;
+  dev.submit(routed_packet(f2, 0));
+  EXPECT_EQ(b.delivered, 2);
+}
+
+TEST(FlowRouterTest, UnknownAndOutOfRangeIdsAreIgnored) {
+  LoopbackDevice dev;
+  FlowRouter router(dev);
+  stats::ThroughputSeries series(sim::milliseconds(1));
+  router.track_app(1, &series);
+  CountingSource src;
+  router.register_flow(3, &src);
+  // Unregistering ids never registered, inside and beyond the table, is a
+  // no-op and must not disturb flow 3.
+  router.unregister_flow(2);
+  router.unregister_flow(4'000'000'000u);
+  for (std::uint32_t flow : {0u, 1u, 2u, 4u, 1'000'000u, 0xFFFFFFFFu}) {
+    for (std::uint32_t app : {0u, 2u, 77u, 0xFFFFFFFFu}) {
+      dev.drop = false;
+      dev.submit(routed_packet(flow, app));
+      dev.drop = true;
+      dev.submit(routed_packet(flow, app));
+    }
+  }
+  EXPECT_EQ(src.delivered, 0);
+  EXPECT_EQ(src.dropped, 0);
+  EXPECT_EQ(series.total_bytes(), 0u);
+  dev.drop = false;
+  dev.submit(routed_packet(3, 1, 700));
+  EXPECT_EQ(src.delivered, 1);
+  EXPECT_EQ(series.total_bytes(), 700u);
+}
+
+TEST(FlowRouterTest, AppSeriesAndLatencyAreKeyedByAppId) {
+  LoopbackDevice dev;
+  FlowRouter router(dev);
+  stats::ThroughputSeries series2(sim::milliseconds(1));
+  stats::ThroughputSeries series5(sim::milliseconds(1));
+  stats::LatencyStats lat2, lat7;
+  router.track_app(5, &series5);  // a higher id first: the table grows past 2
+  router.track_app(2, &series2);
+  router.track_app_latency(7, &lat7);
+  router.track_app_latency(2, &lat2);
+  dev.submit(routed_packet(1, 2, 100, 0, sim::microseconds(3)));
+  dev.submit(routed_packet(1, 2, 200, 0, sim::microseconds(5)));
+  dev.submit(routed_packet(1, 5, 4000, 0, sim::microseconds(9)));
+  dev.submit(routed_packet(1, 7, 1, sim::microseconds(1), sim::microseconds(21)));
+  dev.submit(routed_packet(1, 3, 999, 0, sim::microseconds(1)));  // untracked
+  EXPECT_EQ(series2.total_bytes(), 300u);
+  EXPECT_EQ(series5.total_bytes(), 4000u);
+  EXPECT_EQ(lat2.count(), 2u);
+  EXPECT_NEAR(lat2.mean_us(), 4.0, 1e-9);
+  EXPECT_EQ(lat7.count(), 1u);
+  EXPECT_NEAR(lat7.mean_us(), 20.0, 1e-9);
+  // Re-tracking an app replaces its sink.
+  stats::ThroughputSeries series2b(sim::milliseconds(1));
+  router.track_app(2, &series2b);
+  dev.submit(routed_packet(1, 2, 50, 0, sim::microseconds(6)));
+  EXPECT_EQ(series2.total_bytes(), 300u);
+  EXPECT_EQ(series2b.total_bytes(), 50u);
 }
 
 TEST(FlowRouterTest, TracksAppSeriesAndLatency) {

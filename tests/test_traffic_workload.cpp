@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <map>
 #include <set>
 #include <tuple>
@@ -42,6 +43,48 @@ TEST(FlowSizeDist, SamplesWithinBounds) {
     const auto s = dist.sample(rng);
     ASSERT_GE(s, 1000u);
     ASSERT_LE(s, 1'000'000u);
+  }
+}
+
+TEST(FlowSizeDist, GoldenSamplesForFixedSeeds) {
+  // Recorded before lo^α and hi^α moved into the constructor. Every churn
+  // and datacenter run draws its flow sizes here, so the sampler must stay
+  // bit-for-bit: the first draws exactly, and 10^5 draws by sum and FNV-1a.
+  struct Golden {
+    double alpha;
+    std::uint64_t lo, hi, seed;
+    std::array<std::uint64_t, 12> first;
+    std::uint64_t sum, fnv;
+  };
+  const Golden cases[] = {
+      {1.2, 2 * 1460, 30 * 1024 * 1024, 7,
+       {7976, 3833, 13419, 79679, 145893, 16275, 3076, 3201, 4492, 3349, 5590, 8744},
+       1525961125, 0x876ce2f1b83a4bc7ULL},
+      {1.2, 16, 512, 1,
+       {42, 29, 32, 23, 42, 18, 16, 23, 79, 30, 128, 172},
+       4799129, 0x4f18310c8dd8b38bULL},
+      {1.05, 2, 256, 9001,
+       {2, 4, 6, 2, 2, 16, 3, 2, 2, 2, 2, 3},
+       870311, 0x4e231d206acacba5ULL},
+      {1.7, 1000, 1000000, 42,
+       {1052, 1323, 1954, 4577, 16867, 2372, 2111, 3052, 2322, 1673, 1963, 1223},
+       240442430, 0xab9a56d515ee499aULL},
+  };
+  for (const Golden& g : cases) {
+    SCOPED_TRACE(testing::Message() << "alpha " << g.alpha << " seed " << g.seed);
+    const FlowSizeDistribution dist(g.alpha, g.lo, g.hi);
+    sim::Rng first_rng(g.seed);
+    for (std::size_t i = 0; i < g.first.size(); ++i)
+      EXPECT_EQ(dist.sample(first_rng), g.first[i]) << "draw " << i;
+    sim::Rng rng(g.seed);
+    std::uint64_t sum = 0, fnv = 0;
+    for (int i = 0; i < 100'000; ++i) {
+      const std::uint64_t v = dist.sample(rng);
+      sum += v;
+      fnv = (fnv ^ v) * 0x100000001b3ULL;
+    }
+    EXPECT_EQ(sum, g.sum);
+    EXPECT_EQ(fnv, g.fnv);
   }
 }
 
