@@ -54,10 +54,11 @@ ExactMatchFlowCache::ExactMatchFlowCache(Options options) : options_(options) {
   const std::size_t want_buckets =
       std::max<std::size_t>(1, (options_.capacity + kSlots - 1) / kSlots);
   buckets_ = std::max<std::size_t>(2, std::bit_ceil(want_buckets));
-  // The entries are left uninitialised (no 64 B-per-slot zeroing pass);
-  // the zeroed signature bytes alone mark every slot empty.
-  slots_.reset(static_cast<Entry*>(::operator new(
-      buckets_ * kSlots * sizeof(Entry), std::align_val_t{alignof(Entry)})));
+  // The entries are left uninitialised (no per-slot zeroing pass); the
+  // zeroed signature bytes alone mark every slot empty. Line alignment
+  // keeps every 3-line bucket on line boundaries.
+  slots_.reset(static_cast<Entry*>(
+      ::operator new(buckets_ * kSlots * sizeof(Entry), kEntryAlign)));
   sigs_.assign(buckets_ * kSlots, 0);
 
   // Threshold sanity clamps — a zero interval or budget would deadlock the
@@ -99,13 +100,14 @@ ExactMatchFlowCache::Entry* ExactMatchFlowCache::find_slot(std::uint32_t bucket,
                                                            std::uint64_t hash,
                                                            std::uint16_t vf,
                                                            const FiveTuple& t) {
-  // Only a signature match reads the entry line.
+  // Only a signature match reads the entry. Equal keys have equal hashes,
+  // so the key compare alone decides.
   const std::size_t base = static_cast<std::size_t>(bucket) * kSlots;
   const std::uint8_t sig = signature(hash);
   for (std::size_t s = 0; s < kSlots; ++s) {
     if (sigs_[base + s] != sig) continue;
     Entry& e = slots_[base + s];
-    if (e.hash == hash && e.vf == vf && e.tuple == t) return &e;
+    if (e.vf == vf && e.tuple == t) return &e;
   }
   return nullptr;
 }
@@ -195,7 +197,7 @@ std::optional<ClassLabelId> ExactMatchFlowCache::lookup(std::uint16_t vf,
       // through to the rule walk (lazy, per-flow re-classification).
       invalidate(*e);
       ++stats_.stale_invalidations;
-    } else if (e->tag != entry_tag(e->hash, e->label, e->epoch)) {
+    } else if (e->tag != entry_tag(h, e->label, e->epoch)) {
       // Integrity tag mismatch: the entry's state was corrupted (cache
       // poison fault). Detect, invalidate, and take the honest miss path
       // rather than serving a wrong label.
@@ -219,7 +221,7 @@ std::optional<ClassLabelId> ExactMatchFlowCache::peek(std::uint16_t vf,
   const Entry* e = find_slot(b1, h, vf, t);
   if (e == nullptr) e = find_slot(alt_bucket_of(h, b1), h, vf, t);
   if (e == nullptr || e->epoch != epoch) return std::nullopt;
-  if (e->tag != entry_tag(e->hash, e->label, e->epoch)) return std::nullopt;
+  if (e->tag != entry_tag(h, e->label, e->epoch)) return std::nullopt;
   return e->label;
 }
 
@@ -322,7 +324,6 @@ ExactMatchFlowCache::InsertOutcome ExactMatchFlowCache::insert_at(
     slot->label = label;
     slot->epoch = epoch;
     slot->last_used = now_tick;
-    slot->hash = hash;
     slot->alt_bucket = in_bucket == b1 ? b2 : b1;
     slot->tag = entry_tag(hash, label, epoch);
     ++live_;
@@ -414,7 +415,7 @@ std::size_t ExactMatchFlowCache::poison(std::size_t stride, ClassLabelId label_c
     if (seen++ % stride != 0) continue;
     Entry& e = slots_[i];
     e.label = static_cast<ClassLabelId>((e.label + 1) % label_count);
-    if (fix_tag) e.tag = entry_tag(e.hash, e.label, e.epoch);
+    if (fix_tag) e.tag = entry_tag(key_hash(e.vf, e.tuple), e.label, e.epoch);
     ++poisoned;
   }
   return poisoned;

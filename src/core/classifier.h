@@ -264,25 +264,28 @@ class ExactMatchFlowCache {
   const Options& options() const { return options_; }
 
  private:
-  /// One 64 B cache line per entry. Entries live in raw, uninitialised
-  /// storage: an entry is read only while its signature byte is nonzero,
-  /// and every write that sets that byte fills all of its fields.
-  struct alignas(64) Entry {
+  /// 48 B per entry, so a 4-slot bucket is exactly three 64 B cache lines
+  /// (slots 1 and 2 straddle a line boundary; DESIGN.md §14). Entries live
+  /// in raw, uninitialised, 64 B-aligned storage: an entry is read only
+  /// while its signature byte is nonzero, and every write that sets that
+  /// byte fills all of its fields. The key hash is not stored: it is always
+  /// key_hash(vf, tuple), and a probe that matched the key already holds it.
+  /// `alt_bucket` is stored because it is not always derivable: collision
+  /// storm entries are pinned to a bucket pair their hash does not produce.
+  struct Entry {
     std::uint16_t vf;
     FiveTuple tuple;
     ClassLabelId label;
     std::uint32_t epoch;       // label epoch the entry was inserted under
-    std::uint64_t last_used;
-    std::uint64_t hash;        // mixed 64-bit key hash (bucket source)
     std::uint32_t alt_bucket;  // the key's other candidate bucket
-    std::uint64_t tag;         // integrity tag over (hash, label, epoch)
+    std::uint64_t last_used;
+    std::uint64_t tag;         // integrity tag over (key hash, label, epoch)
   };
-  static_assert(sizeof(Entry) == 64, "an entry must fill exactly one cache line");
+  static_assert(sizeof(Entry) == 48, "four entries must fill exactly three cache lines");
+  static constexpr std::align_val_t kEntryAlign{64};
 
   struct FreeEntries {
-    void operator()(Entry* p) const {
-      ::operator delete(p, std::align_val_t{alignof(Entry)});
-    }
+    void operator()(Entry* p) const { ::operator delete(p, kEntryAlign); }
   };
 
   std::uint32_t bucket_of(std::uint64_t hash) const;

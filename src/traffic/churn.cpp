@@ -1,8 +1,27 @@
 #include "traffic/churn.h"
 
 #include <algorithm>
+#include <limits>
 
 namespace flowvalve::traffic {
+
+namespace {
+
+ChurnWorkloadConfig clamped(ChurnWorkloadConfig c) {
+  if (c.target_live_flows == 0) c.target_live_flows = 1;
+  if (c.initial_flows == 0) c.initial_flows = c.target_live_flows;
+  c.initial_flows = std::min(c.initial_flows, c.target_live_flows);
+  if (c.vf_count == 0) c.vf_count = 1;
+  if (c.train_length == 0) c.train_length = 1;
+  // A flow's packet counts are 32-bit (ChurnWorkload::Flow), so its drawn
+  // size, at most max(min_packets + 1, max_packets), must fit in 32 bits.
+  constexpr std::uint64_t kMaxPackets = std::numeric_limits<std::uint32_t>::max();
+  c.max_packets = std::min(c.max_packets, kMaxPackets);
+  c.min_packets = std::min(c.min_packets, kMaxPackets - 1);
+  return c;
+}
+
+}  // namespace
 
 ChurnWorkload::ChurnWorkload(sim::Simulator& sim, FlowRouter& router,
                              IdAllocator& ids, ChurnWorkloadConfig config,
@@ -10,17 +29,11 @@ ChurnWorkload::ChurnWorkload(sim::Simulator& sim, FlowRouter& router,
     : sim_(sim),
       router_(router),
       ids_(ids),
-      config_(config),
-      sizes_(config.size_alpha,
-             std::max<std::uint64_t>(1, config.min_packets),
-             std::max<std::uint64_t>(config.min_packets + 1, config.max_packets)),
-      rng_(rng) {
-  if (config_.target_live_flows == 0) config_.target_live_flows = 1;
-  if (config_.initial_flows == 0) config_.initial_flows = config_.target_live_flows;
-  config_.initial_flows = std::min(config_.initial_flows, config_.target_live_flows);
-  if (config_.vf_count == 0) config_.vf_count = 1;
-  if (config_.train_length == 0) config_.train_length = 1;
-}
+      config_(clamped(config)),
+      sizes_(config_.size_alpha,
+             std::max<std::uint64_t>(1, config_.min_packets),
+             std::max<std::uint64_t>(config_.min_packets + 1, config_.max_packets)),
+      rng_(rng) {}
 
 ChurnWorkload::~ChurnWorkload() { stop(); }
 
@@ -56,7 +69,7 @@ void ChurnWorkload::stop() {
   arrival_dormant_ = false;
   arrival_event_.cancel();
   service_event_.cancel();
-  for (const Flow& f : flows_) router_.unregister_flow(f.spec.flow_id);
+  for (const Flow& f : flows_) router_.unregister_flow(f.flow_id);
   flows_.clear();
   cursor_ = 0;
 }
@@ -64,16 +77,22 @@ void ChurnWorkload::stop() {
 void ChurnWorkload::spawn_flow() {
   if (flows_.size() >= config_.target_live_flows) return;
   Flow f;
-  f.spec.flow_id = ids_.next_flow_id();
-  f.spec.app_id = config_.app_id;
-  f.spec.vf_port = vf_for(serial_, config_.vf_count);
-  f.spec.wire_bytes = config_.wire_bytes;
-  f.spec.tuple = tuple_for(serial_);
-  ++serial_;
-  f.remaining_packets = sizes_.sample(rng_);
-  router_.register_flow(f.spec.flow_id, this);
+  f.serial = serial_++;
+  f.flow_id = ids_.next_flow_id();
+  f.remaining_packets = static_cast<std::uint32_t>(sizes_.sample(rng_));
+  router_.register_flow(f.flow_id, this);
   ++flows_started_;
-  flows_.push_back(std::move(f));
+  flows_.push_back(f);
+}
+
+FlowSpec ChurnWorkload::spec_for(const Flow& f) const {
+  FlowSpec spec;
+  spec.flow_id = f.flow_id;
+  spec.app_id = config_.app_id;
+  spec.vf_port = vf_for(f.serial, config_.vf_count);
+  spec.wire_bytes = config_.wire_bytes;
+  spec.tuple = tuple_for(f.serial);
+  return spec;
 }
 
 void ChurnWorkload::arm_arrival(sim::SimTime from) {
@@ -129,21 +148,21 @@ void ChurnWorkload::service_next() {
   if (flows_.empty()) return;
   if (cursor_ >= flows_.size()) cursor_ = 0;
   Flow& f = flows_[cursor_];
-  const std::uint64_t train =
-      std::min<std::uint64_t>(f.remaining_packets, config_.train_length);
-  for (std::uint64_t i = 0; i < train; ++i) {
-    net::Packet pkt = make_packet(f.spec, ids_, sim_.now(), f.seq++);
+  const std::uint32_t train = std::min(f.remaining_packets, config_.train_length);
+  const FlowSpec spec = spec_for(f);
+  for (std::uint32_t i = 0; i < train; ++i) {
+    net::Packet pkt = make_packet(spec, ids_, sim_.now(), f.sent++);
     ++packets_sent_;
     bytes_sent_ += pkt.wire_bytes;
     router_.device().submit(std::move(pkt));
   }
   f.remaining_packets -= train;
   if (f.remaining_packets == 0) {
-    router_.unregister_flow(f.spec.flow_id);
+    router_.unregister_flow(f.flow_id);
     ++flows_completed_;
     // Swap-remove keeps the vector dense; the cursor stays put so the
     // swapped-in flow is serviced next visit.
-    flows_[cursor_] = std::move(flows_.back());
+    flows_[cursor_] = flows_.back();
     flows_.pop_back();
   } else {
     ++cursor_;

@@ -77,11 +77,18 @@ class ChurnWorkload final : public TrafficSource {
   std::uint64_t packets_dropped() const { return packets_dropped_; }
 
  private:
+  /// 24 B per live flow: the FlowSpec is not stored, because spec_for()
+  /// rebuilds it from the serial (tuple_for/vf_for) and the config. The
+  /// packet counts fit 32 bits since the constructor clamps max_packets.
   struct Flow {
-    FlowSpec spec;
-    std::uint64_t remaining_packets = 0;
-    std::uint64_t seq = 0;
+    std::uint64_t serial = 0;
+    std::uint32_t flow_id = 0;
+    std::uint32_t remaining_packets = 0;
+    std::uint32_t sent = 0;
   };
+  static_assert(sizeof(Flow) <= 24, "a live churn flow must stay within 24 bytes");
+
+  FlowSpec spec_for(const Flow& f) const;
 
   void spawn_flow();
   /// Draw the gap to the arrival after the one at `from`; schedule it, or

@@ -1,11 +1,12 @@
 // Tier-1 coverage for the bucketized cuckoo flow table (DESIGN.md §14):
 // the splitmix64 mixer's avalanche/distribution lock, constructor capacity
 // clamping, the bounded BFS kick path, idle eviction amortized into
-// lookups, integrity-tag poison detection, the poison × label-epoch ×
-// eviction interleavings, the signature bytes that alone mark live slots,
-// the degraded-mode state machine's determinism, and the million-flow churn
-// soak across every scheduler backend and both batch sizes with the
-// cache-coherence checker armed.
+// lookups, integrity-tag poison detection (also on entries the kick path
+// moved), the poison × label-epoch × eviction interleavings, collision
+// storms held in their pinned bucket pair, the signature bytes that alone
+// mark live slots, the degraded-mode state machine's determinism, and the
+// million-flow churn soak across every scheduler backend and both batch
+// sizes with the cache-coherence checker armed.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -308,6 +309,39 @@ TEST(FlowTable, SilentPoisonServesWrongLabel) {
   EXPECT_EQ(cache.stats().corruption_detected, 0u);
 }
 
+TEST(FlowTable, KickedEntriesKeepVerifiableTags) {
+  // Entries store no hash: a lookup verifies the tag against the probe's
+  // own key hash, and a silent poison recomputes it from the stored key.
+  // Both must still hold for entries the BFS kick path moved to their
+  // other bucket. Same setup as the kick-path tests (16 buckets, load
+  // 0.875); stride 1 poisons every resident, so every moved key too.
+  for (const bool fix_tag : {false, true}) {
+    SCOPED_TRACE(fix_tag ? "silent poison" : "detectable poison");
+    ExactMatchFlowCache cache(ExactMatchFlowCache::Options{.capacity = 64});
+    constexpr std::uint64_t kKeys = 56;
+    constexpr ClassLabelId kLabels = 8;
+    for (std::uint64_t i = 0; i < kKeys; ++i)
+      ASSERT_TRUE(cache.insert(0, tuple_n(i), static_cast<ClassLabelId>(i % kLabels), i)
+                      .inserted);
+    ASSERT_GT(cache.stats().kicks, 0u);
+    ASSERT_EQ(cache.size(), kKeys);
+    ASSERT_EQ(cache.poison(/*stride=*/1, kLabels, fix_tag), kKeys);
+    for (std::uint64_t i = 0; i < kKeys; ++i) {
+      const auto got = cache.lookup(0, tuple_n(i), kKeys + i);
+      if (fix_tag) {
+        EXPECT_EQ(got, std::optional<ClassLabelId>(
+                           static_cast<ClassLabelId>((i + 1) % kLabels)))
+            << "key " << i;
+      } else {
+        EXPECT_FALSE(got.has_value()) << "key " << i;
+      }
+    }
+    EXPECT_EQ(cache.stats().corruption_detected, fix_tag ? 0u : kKeys);
+    EXPECT_EQ(cache.size(), fix_tag ? kKeys : 0u);
+    expect_histogram_matches_size(cache);
+  }
+}
+
 TEST(FlowTable, PoisonedEntryNeverSurvivesEpochBumpAsFreshHit) {
   // Interleaving: poison (silent, fix_tag) then a label-epoch bump. The
   // stale-epoch check must invalidate the entry before its (corrupted)
@@ -501,6 +535,23 @@ TEST(FlowTable, ChurnStormKeepsHistogramAndSizeInStep) {
   EXPECT_GT(cache.stats().evictions, 0u);
   EXPECT_LE(cache.size(), cache.capacity());
   expect_histogram_matches_size(cache);
+}
+
+TEST(FlowTable, CollisionStormStaysInItsPinnedPair) {
+  // Storm keys are pinned to one bucket pair that their own hashes do not
+  // produce, which is why an entry stores its alternate bucket rather than
+  // deriving it. A kick path that derived it from the key hash would move
+  // storm keys into other buckets; the stored one keeps every kick inside
+  // the pair, so exactly two buckets fill and every other stays empty.
+  ExactMatchFlowCache cache(ExactMatchFlowCache::Options{.capacity = 1 << 12});
+  ASSERT_EQ(cache.size(), 0u);
+  cache.fault_collision_storm(/*seed=*/42, /*n=*/32, /*now_tick=*/1);
+  const auto hist = cache.occupancy_histogram();
+  EXPECT_EQ(hist[ExactMatchFlowCache::kSlots], 2u);
+  EXPECT_EQ(hist[0], cache.bucket_count() - 2);
+  for (std::size_t k = 1; k < ExactMatchFlowCache::kSlots; ++k)
+    EXPECT_EQ(hist[k], 0u) << "buckets holding " << k << " entries";
+  EXPECT_EQ(cache.size(), 2 * ExactMatchFlowCache::kSlots);
 }
 
 TEST(FlowTable, RelapseDuringRecoveryReclosesTheGate) {

@@ -242,6 +242,29 @@ TEST(ChurnWorkloadTest, SerialSchemeYieldsUniqueKeysAcrossVfs) {
   EXPECT_EQ(std::adjacent_find(keys.begin(), keys.end()), keys.end());
 }
 
+TEST(ChurnWorkloadTest, FlowSizesAboveThirtyTwoBitsAreClamped) {
+  // A flow keeps 32-bit packet counts, so sizes are clamped to UINT32_MAX.
+  // Unclamped, these sizes (2^32 or 2^32 + 1) would wrap to 0 or 1 packets
+  // and every flow would end within one train.
+  sim::Simulator sim;
+  SinkDevice sink(sim);
+  IdAllocator ids;
+  FlowRouter router(sink);
+  ChurnWorkloadConfig cfg;
+  cfg.target_live_flows = 16;
+  cfg.flows_per_sec = 0;
+  cfg.min_packets = std::uint64_t{1} << 32;
+  cfg.max_packets = (std::uint64_t{1} << 32) + 1;
+  cfg.aggregate_rate = Rate::gigabits_per_sec(10);
+  ChurnWorkload wl(sim, router, ids, cfg, sim::Rng(11));
+  wl.start();
+  sim.run_until(sim::milliseconds(5));
+  EXPECT_EQ(wl.flows_completed(), 0u);
+  EXPECT_EQ(wl.flows_live(), cfg.target_live_flows);
+  EXPECT_EQ(wl.packets_sent() % cfg.train_length, 0u);
+  EXPECT_GT(wl.packets_sent(), 64 * cfg.train_length);
+}
+
 TEST(ChurnWorkloadTest, SameSeedSameChurnHistory) {
   const auto run = [] {
     sim::Simulator sim;
